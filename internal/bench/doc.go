@@ -1,5 +1,5 @@
 // Package bench is the experiment harness that regenerates every
-// experiment table of the reproduction (EXP-A … EXP-Q; see DESIGN.md
+// experiment table of the reproduction (EXP-A … EXP-W; see DESIGN.md
 // §2 for the experiment ↔ paper-claim index).
 //
 // Each experiment is a Table generator; cmd/lwcbench renders them,

@@ -54,8 +54,10 @@ type Block struct {
 // BlockSource supplies block forms on demand for columns whose
 // payloads live outside memory (file-backed containers). A column
 // with a Source may leave Block.Form nil; query paths then fetch the
-// form through the source at first touch and drop it afterwards, so
-// cold blocks never stay resident.
+// form through the source whenever they touch the block and never
+// keep it, so residency is the source's decision: the storage reader
+// keeps hot blocks' decoded forms in its block cache and hands the
+// same form to every caller until eviction.
 //
 // Implementations must be safe for concurrent use: the parallel scan
 // paths fetch straddling blocks from multiple goroutines. An
@@ -962,7 +964,8 @@ type CacheStats struct {
 	Hits, Misses int64
 	// Evictions counts entries dropped to make room.
 	Evictions int64
-	// BytesUsed is the current resident payload total.
+	// BytesUsed is the decoded footprint of the resident block forms
+	// (see core.Form.ResidentBytes), each charged once at insert.
 	BytesUsed int64
 	// BytesBudget is the configured capacity.
 	BytesBudget int64
@@ -992,8 +995,9 @@ type CacheStatsSource interface {
 }
 
 // CacheStats snapshots the block-cache counters behind a lazily
-// opened column — the same shared cache the owning container reports,
-// reachable here without holding the container handle. ok is false
+// opened column — the same counters the owning container reports
+// (its own hits and misses even under a shared cache), reachable here
+// without holding the container handle. ok is false
 // for in-memory columns and sources without a cache.
 func (c *Column) CacheStats() (stats CacheStats, ok bool) {
 	if s, isCached := c.Source.(CacheStatsSource); isCached {

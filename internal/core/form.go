@@ -117,6 +117,26 @@ func (f *Form) PayloadBits() uint64 {
 	return total
 }
 
+// Approximate heap costs of a decoded form node beyond its payload
+// slices: the Form struct with its scheme string, and one entry of
+// its Params or Children map.
+const (
+	residentNodeBytes  = 192
+	residentEntryBytes = 48
+)
+
+// ResidentBytes approximates the heap bytes the decoded form tree
+// holds: payload capacities plus a fixed per-node and per-map-entry
+// overhead. The storage block cache charges it against its budget.
+func (f *Form) ResidentBytes() int64 {
+	n := int64(residentNodeBytes + residentEntryBytes*(len(f.Params)+len(f.Children)) +
+		8*cap(f.Leaf) + 8*cap(f.Packed) + cap(f.Bytes))
+	for _, c := range f.Children {
+		n += c.ResidentBytes()
+	}
+	return n
+}
+
 // PayloadBytes returns PayloadBits rounded up to whole bytes.
 func (f *Form) PayloadBytes() uint64 { return (f.PayloadBits() + 7) / 8 }
 

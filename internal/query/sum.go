@@ -552,12 +552,13 @@ func sumRangePlus(f *core.Form, lo, hi int64, s *core.Scratch) (sum, count int64
 	return 0, 0, false, nil
 }
 
-// linearFold folds a LINEAR form without materializing it: each row's
-// prediction is evaluated and tested against [lo, hi] in place.
-// done=false reports a shape the closed walk cannot take.
+// linearFold folds a LINEAR form without materializing it, one
+// segment at a time (see linearSegment). done=false reports a shape
+// the fold cannot take: a segment length or fraction width decode
+// rejects goes to the materialize fallback, which reports the error.
 func linearFold(f *core.Form, s *core.Scratch, lo, hi int64) (sum, count int64, done bool, err error) {
-	segLen := int(f.Params["seglen"])
-	if segLen < 1 {
+	segLen, frac := int(f.Params["seglen"]), f.Params["frac"]
+	if segLen < 1 || frac < 0 || frac > 30 {
 		return 0, 0, false, nil
 	}
 	bases, err := core.ChildScratch(f, "bases", s)
@@ -574,21 +575,113 @@ func linearFold(f *core.Form, s *core.Scratch, lo, hi int64) (sum, count int64, 
 	if len(bases) < nseg || len(slopes) < nseg {
 		return 0, 0, false, nil // corrupt: materialize fallback surfaces the error
 	}
-	frac := uint(f.Params["frac"])
 	for seg := 0; seg < nseg; seg++ {
-		rowLo := seg * segLen
-		rowHi := rowLo + segLen
-		if rowHi > f.N {
-			rowHi = f.N
-		}
-		base, slope := bases[seg], slopes[seg]
-		for j := 0; j < rowHi-rowLo; j++ {
-			v := scheme.LinearPredict(base, slope, j, frac)
-			if v >= lo && v <= hi {
+		rows := min(segLen, f.N-seg*segLen)
+		ss, sc := linearSegment(bases[seg], slopes[seg], rows, uint(frac), lo, hi)
+		sum += ss
+		count += sc
+	}
+	return sum, count, true, nil
+}
+
+// linearSegment sums and counts the predictions base + (slope·j)>>frac
+// of rows j in [0, n) that fall inside [lo, hi]. When no prediction
+// can leave int64, the prediction is monotone in j, so the matching
+// rows form one interval, found by binary search, whose sum is
+// base·count plus a floor sum evaluated in O(frac) steps. Otherwise
+// the rows are walked one by one. Both routes give the row walk's
+// result bit for bit, wrapping mod 2^64 like decode-then-add. frac is
+// at most 30, as decode requires.
+func linearSegment(base, slope int64, n int, frac uint, lo, hi int64) (sum, count int64) {
+	last := int64(n - 1)
+	closed := n >= 1 && n < 1<<31 &&
+		(last == 0 || (slope <= maxInt64/last && slope >= minInt64/last))
+	var top int64 // the prediction at the last row, when closed
+	if closed {
+		q := (slope * last) >> frac
+		top = base + q
+		closed = (q >= 0) == (top >= base)
+	}
+	if !closed {
+		for j := 0; j < n; j++ {
+			if v := scheme.LinearPredict(base, slope, j, frac); v >= lo && v <= hi {
 				sum += v
 				count++
 			}
 		}
+		return sum, count
 	}
-	return sum, count, true, nil
+	first, end := 0, n
+	if vMin, vMax := min(base, top), max(base, top); vMax < lo || vMin > hi {
+		return 0, 0
+	} else if vMin < lo || vMax > hi {
+		// Non-decreasing: [first row >= lo, first row > hi).
+		// Non-increasing: [first row <= hi, first row < lo).
+		if slope >= 0 {
+			first = linearFirst(base, slope, n, frac, lo, true)
+			if hi < maxInt64 {
+				end = linearFirst(base, slope, n, frac, hi+1, true)
+			}
+		} else {
+			first = linearFirst(base, slope, n, frac, hi, false)
+			if lo > minInt64 {
+				end = linearFirst(base, slope, n, frac, lo-1, false)
+			}
+		}
+		if end <= first {
+			return 0, 0
+		}
+	}
+	m := int64(end - first)
+	return base*m + floorSumShift(slope, slope*int64(first), m, frac), m
+}
+
+// linearFirst returns the first row j in [0, n) whose prediction is
+// >= t (up) or <= t (!up), or n when there is none, for a segment
+// whose predictions are monotone in the matching direction.
+func linearFirst(base, slope int64, n int, frac uint, t int64, up bool) int {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v := scheme.LinearPredict(base, slope, mid, frac); (up && v >= t) || (!up && v <= t) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// floorSumShift returns Σ_{i<m} ⌊(a·i + c) / 2^frac⌋ mod 2^64 for
+// m < 2^31, frac <= 32 and a·(m-1) + c inside int64. Splitting a and
+// c into quotient and remainder by 2^frac leaves qa·m(m-1)/2 + qc·m
+// plus a floor sum with non-negative a, c below the modulus.
+func floorSumShift(a, c, m int64, frac uint) int64 {
+	mask := int64(1)<<frac - 1
+	qa, qc := a>>frac, c>>frac
+	rest := floorSum(uint64(m), uint64(mask)+1, uint64(a&mask), uint64(c&mask))
+	return qa*(m*(m-1)/2) + qc*m + int64(rest)
+}
+
+// floorSum returns Σ_{i<n} ⌊(a·i + b) / m⌋ mod 2^64 by the Euclid-like
+// reduction of the AtCoder Library's floor_sum_unsigned. It needs
+// n < 2^31 and a, b < m <= 2^32, so a·n + b never overflows.
+func floorSum(n, m, a, b uint64) uint64 {
+	var ans uint64
+	for {
+		if a >= m {
+			ans += n * (n - 1) / 2 * (a / m)
+			a %= m
+		}
+		if b >= m {
+			ans += n * (b / m)
+			b %= m
+		}
+		y := a*n + b
+		if y < m {
+			return ans
+		}
+		n, b = y/m, y%m
+		m, a = a, m
+	}
 }

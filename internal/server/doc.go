@@ -4,7 +4,7 @@
 //
 // The subsystem is resource governance around the existing scan
 // engine, not a new engine. Every mounted container joins one
-// SharedBlockCache, so resident payload bytes stay under a single
+// SharedBlockCache, so resident decoded block forms stay under a single
 // byte budget however many tables are open; an admission gate bounds
 // in-flight queries and queue depth, answering 429 with Retry-After
 // at saturation instead of collapsing; every query runs under a
@@ -20,7 +20,11 @@
 //	GET  /metrics   expvar-style JSON: latency histogram, admission gauges,
 //	                per-table cache hit rates and block skip/prove/fetch counters
 //	POST /-/reload  re-mount the directory (SIGHUP does the same)
+//	POST /-/compact run one compaction sweep now (404 unless -compact is set)
+//	POST /-/scrub   run one scrub sweep now; ?heal=1 or ?heal=0 overrides
+//	                the configured heal setting for this sweep
 //	GET  /healthz   liveness
+//	GET  /readyz    readiness: 503 while closed, reloading or draining
 //
 // Mounting groups files by name: `<table>.<column>.lwc` contributes
 // one column (the file must hold exactly one; the filename wins over

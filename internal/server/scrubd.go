@@ -33,7 +33,8 @@ type scrubResult struct {
 	// Tombstones counts persisted tombstones seen — known degraded
 	// state from earlier repairs, not new findings.
 	Tombstones int `json:"tombstones"`
-	// Healed counts containers salvage-repaired and swapped.
+	// Healed counts containers salvage-repaired and swapped in: each
+	// is counted once the reload that serves it has succeeded.
 	Healed int `json:"healed"`
 	// Unrepairable counts containers repair had to leave untouched.
 	Unrepairable int `json:"unrepairable"`
@@ -42,7 +43,7 @@ type scrubResult struct {
 	// QuarantineCleared counts ledger entries retired by the healed
 	// generations' swap.
 	QuarantineCleared int `json:"quarantine_cleared"`
-	// Reloaded reports whether healed containers were re-mounted.
+	// Reloaded reports whether any healed container was re-mounted.
 	Reloaded bool `json:"reloaded"`
 	// Aborted reports a sweep cut short by server shutdown.
 	Aborted bool `json:"aborted"`
@@ -93,9 +94,12 @@ type scrubTarget struct {
 
 // scrubSweep fsck-walks every mounted container once, quarantining
 // bad blocks on the mounted columns, and — when heal is set — salvage-
-// repairing damaged containers and reloading so the healed generations
-// serve. Only one sweep (scrub or compact) runs at a time; a tick that
-// lands mid-sweep is dropped.
+// repairing damaged containers, reloading after each one so a healed
+// file is never on disk while its predecessor's quarantine still
+// serves. Findings in containers scrubbed after such a reload
+// quarantine the sweep's snapshot, not the new set; the next sweep
+// finds them again. Only one sweep (scrub or compact) runs at a time;
+// a tick that lands mid-sweep is dropped.
 func (s *Server) scrubSweep(heal bool) scrubResult {
 	var res scrubResult
 	if !s.sweepMu.TryLock() {
@@ -120,8 +124,6 @@ func (s *Server) scrubSweep(heal bool) scrubResult {
 		}
 	}
 
-	healedAny := false
-	clearedOnHeal := 0
 	for _, tg := range targets {
 		if !s.idleYield(s.scrubStop) {
 			res.Aborted = true
@@ -158,15 +160,26 @@ func (s *Server) scrubSweep(heal bool) scrubResult {
 		}
 		switch rr.Action {
 		case scrub.ActionRepaired:
-			res.Healed++
-			res.TombstonedBlocks += rr.Tombstoned
-			s.scrubHealed.Add(1)
-			healedAny = true
-			for _, bc := range tg.cols {
-				clearedOnHeal += bc.Col.QuarantineCount()
-			}
 			log.Printf("lwcd: healed %s: %d preserved, %d reread, %d stats fixed, %d checksums fixed, %d tombstoned",
 				tg.path, rr.Preserved, rr.Reread, rr.StatsFixed, rr.ChecksumsFixed, rr.Tombstoned)
+			cleared := 0
+			for _, bc := range tg.cols {
+				cleared += bc.Col.QuarantineCount()
+			}
+			// The generation swap, one healed container at a time:
+			// retired mount sets drain on their open descriptors (their
+			// quarantine ledgers retiring with them), new queries open
+			// the healed file with a clean ledger. The heal counts as
+			// done only once the healed generation serves.
+			if err := s.Reload(); err != nil {
+				log.Printf("lwcd: reload after healing %s failed (still serving the previous set): %v", tg.path, err)
+				continue
+			}
+			res.Healed++
+			res.TombstonedBlocks += rr.Tombstoned
+			res.QuarantineCleared += cleared
+			res.Reloaded = true
+			s.scrubHealed.Add(1)
 		case scrub.ActionUnrepairable:
 			res.Unrepairable++
 			s.scrubUnrepairable.Add(1)
@@ -174,18 +187,6 @@ func (s *Server) scrubSweep(heal bool) scrubResult {
 		}
 	}
 	s.scrubber.MarkSweepDone()
-
-	if healedAny {
-		// The generation swap: retired mount sets drain on their open
-		// descriptors (their quarantine ledgers retiring with them),
-		// new queries open the healed files with clean ledgers.
-		if err := s.Reload(); err != nil {
-			log.Printf("lwcd: reload after heal failed (still serving the previous set): %v", err)
-		} else {
-			res.Reloaded = true
-			res.QuarantineCleared = clearedOnHeal
-		}
-	}
 	return res
 }
 

@@ -158,7 +158,7 @@ func TestScrubDaemonTicker(t *testing.T) {
 	}
 	goodSum := sha256.Sum256(good)
 
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		Dir:            dir,
 		CacheBytes:     -1,
 		Scrub:          true,
@@ -168,16 +168,18 @@ func TestScrubDaemonTicker(t *testing.T) {
 	})
 	swapLyingAmount(t, dir, d.amount)
 
+	// Wait on the heal counter, which moves only after the reload that
+	// mounts the healed file, not on the file's bytes: a rename alone
+	// would leave the old generation's quarantine serving.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cur, err := os.ReadFile(amountPath)
-		if err == nil && sha256.Sum256(cur) == goodSum {
-			break
-		}
+	for srv.scrubHealed.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon did not heal the container within the deadline")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if cur, err := os.ReadFile(amountPath); err != nil || sha256.Sum256(cur) != goodSum {
+		t.Fatalf("heal counted but the container's bytes are not the original's (err %v)", err)
 	}
 	// The healed generation serves.
 	if status, out := postQuery(t, ts, queryRequest{Table: "orders", Op: "sum", Columns: []string{"amount"}}); status != http.StatusOK {

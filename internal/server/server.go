@@ -334,8 +334,28 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
+	return s.serve(ctx, ln)
+}
+
+// Connection timeouts of the daemon's HTTP server: a client that has
+// not finished its request headers after readHeaderTimeout is
+// disconnected, and a keep-alive connection idle for idleTimeout is
+// closed, so neither a slow-header client nor an abandoned connection
+// holds a goroutine and a descriptor for good. Query execution time is
+// bounded separately, by each query's timeout_ms deadline.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// serve is ListenAndServe on an open listener.
+func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	log.Printf("lwcd: serving %d table(s) from %s on http://%s", len(s.Tables()), s.cfg.Dir, ln.Addr())
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -365,7 +385,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 			srv.Shutdown(shutCtx)
 		}
 	}()
-	err = srv.Serve(ln)
+	err := srv.Serve(ln)
 	s.Close()
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -644,4 +646,60 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("reload endpoint: %v %d", err, rr.StatusCode)
 	}
 	rr.Body.Close()
+}
+
+// TestSlowHeaderClientDisconnected: a client that dribbles its request
+// headers one line at a time is disconnected once readHeaderTimeout
+// runs out, instead of holding its connection open indefinitely.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	srv, err := New(Config{Dir: newTestDir(t, makeData(256)), CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	closed := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, conn) // returns once the server drops the connection
+		close(closed)
+	}()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: lwcd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	limit := time.After(readHeaderTimeout + 3*time.Second)
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	for i := 0; ; i++ {
+		select {
+		case <-closed:
+			if d := time.Since(start); d < readHeaderTimeout/2 {
+				t.Fatalf("connection dropped after %v, before the header timeout could have fired", d)
+			}
+			return
+		case <-limit:
+			t.Fatalf("slow-header client still connected %v after it started", time.Since(start))
+		case <-tick.C:
+			// Write errors are expected once the server has hung up;
+			// the reader goroutine reports the close.
+			fmt.Fprintf(conn, "X-Dribble-%d: 1\r\n", i)
+		}
+	}
 }

@@ -40,7 +40,8 @@ type BlockReader interface {
 // OpenOptions configures lazy container opening.
 type OpenOptions struct {
 	// CacheBytes is the byte budget of the container's shared block
-	// cache (raw verified payloads, LRU). Zero or negative disables
+	// cache (LRU of decoded forms whose payloads passed every check,
+	// each charged its decoded footprint). Zero or negative disables
 	// caching; OpenFile's public wrapper defaults it to
 	// DefaultBlockCacheBytes.
 	CacheBytes int64
@@ -48,7 +49,7 @@ type OpenOptions struct {
 	// instead of creating its own: its blocks compete with every
 	// other member container's under the one byte budget. CacheBytes
 	// is ignored. A server mounting many containers uses one
-	// SharedCache so total resident payload bytes stay bounded
+	// SharedCache so total resident form bytes stay bounded
 	// regardless of how many tables are open.
 	Shared *SharedCache
 	// Mmap maps the file instead of issuing ReadAt calls. Ignored
@@ -119,8 +120,8 @@ func (s *mmapSource) Close() error { return munmap(s.data) }
 
 // ContainerFile is an open container whose block payloads load on
 // demand: only the prefix and block index are resident. All columns
-// share one byte source and one block cache, so hot blocks decode
-// from cached verified bytes while cold blocks never enter memory.
+// share one byte source and one block cache, so hot blocks are served
+// as already-decoded forms while cold blocks never enter memory.
 //
 // Containers of earlier generations (v1, v2) open eagerly — their
 // layouts cannot be read incrementally — and behave identically
@@ -141,11 +142,11 @@ type ContainerFile struct {
 	shared                 bool
 	localHits, localMisses atomic.Int64
 
-	// flights coalesces concurrent fetches of one block payload into a
-	// single source read: a prefetch and the demand fetch it races join
-	// the same flight instead of reading the same bytes twice.
+	// flights coalesces concurrent fetches of one block into a single
+	// source read and decode: a prefetch and the demand fetch it races
+	// join the same flight instead of reading the same bytes twice.
 	flightMu sync.Mutex
-	flights  map[cacheKey]*payloadFlight
+	flights  map[cacheKey]*formFlight
 
 	// The prefetch worker stages announced blocks into the cache in
 	// the background. It starts lazily on the first announcement and is
@@ -159,15 +160,12 @@ type ContainerFile struct {
 	closeErr  error
 }
 
-// payloadFlight is one in-progress block-payload fetch. Late callers
-// mark it shared and wait on done; the flight leader publishes data
-// and err before closing done. A shared flight's buffer is never
-// recycled — a waiter may still hold it.
-type payloadFlight struct {
-	done   chan struct{}
-	data   []byte
-	err    error
-	shared bool
+// formFlight is one in-progress block fetch. Late callers wait on
+// done; the flight leader publishes form and err before closing it.
+type formFlight struct {
+	done chan struct{}
+	form *core.Form
+	err  error
 }
 
 // prefetchReq names one block a scan expects to need next. A nil ctx
@@ -286,7 +284,7 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 		cols:         p.cols,
 		locs:         p.locs,
 		owner:        nextCacheOwner.Add(1),
-		flights:      make(map[cacheKey]*payloadFlight),
+		flights:      make(map[cacheKey]*formFlight),
 	}
 	if opt.Shared != nil {
 		cf.cache, cf.shared = opt.Shared.c, true
@@ -424,62 +422,54 @@ func (cf *ContainerFile) Close() error {
 	return cf.closeErr
 }
 
-// fetchPayload returns block (colIdx, i)'s CRC-verified payload
-// bytes, coalescing concurrent fetches of the same block — a prefetch
-// and the demand fetch it races, or two scan workers straddling one
-// block — into a single source read. owned reports that the caller
-// holds the only reference to a pooled scratch buffer and must
-// recycle it with putPayloadBuf when done; bytes belonging to the
-// mapping, the cache, or a concurrent waiter come back owned=false.
-func (cf *ContainerFile) fetchPayload(colIdx, i int) (data []byte, owned bool, err error) {
+// fetchForm reads block (colIdx, i)'s payload, verifies its CRC,
+// decodes it (with the trailing-byte and row-count checks) and caches
+// the form, coalescing concurrent fetches of the same block — a
+// prefetch and the demand fetch it races, or two scan workers
+// straddling one block — into a single read and decode. The scratch
+// buffer always returns to the pool: the form never aliases it.
+func (cf *ContainerFile) fetchForm(colIdx, i int) (f *core.Form, err error) {
 	key := cacheKey{owner: cf.owner, col: colIdx, block: i}
 	cf.flightMu.Lock()
 	if fl, ok := cf.flights[key]; ok {
-		fl.shared = true
 		cf.flightMu.Unlock()
 		<-fl.done
-		return fl.data, false, fl.err
+		return fl.form, fl.err
 	}
-	if d, ok := cf.cache.peek(key); ok {
-		// A finished flight (or another fetch) cached the block between
-		// the caller's cache miss and here.
+	if f, ok := cf.cache.peek(key); ok {
+		// A finished flight cached the block between the caller's
+		// cache miss and here.
 		cf.flightMu.Unlock()
-		return d, false, nil
+		return f, nil
 	}
-	fl := &payloadFlight{done: make(chan struct{})}
+	fl := &formFlight{done: make(chan struct{})}
 	cf.flights[key] = fl
 	cf.flightMu.Unlock()
+	// Deferred so waiters are released even if the read panics; they
+	// then see a nil form, which the column rejects and quarantines.
+	defer func() {
+		cf.flightMu.Lock()
+		fl.form, fl.err = f, err
+		delete(cf.flights, key)
+		cf.flightMu.Unlock()
+		close(fl.done)
+	}()
 
 	loc := cf.locs[colIdx][i]
-	n := int(loc.length)
-	scratch := getPayloadBuf(n)
-	data, err = cf.src.view(cf.payloadStart+loc.off, n, scratch)
+	bc := &cf.cols[colIdx]
+	scratch := getPayloadBuf(int(loc.length))
+	defer putPayloadBuf(scratch)
+	data, err := cf.src.view(cf.payloadStart+loc.off, len(scratch), scratch)
 	if err == nil {
-		err = verifyBlockCRC(data, loc, cf.cols[colIdx].Name, i)
+		err = verifyBlockCRC(data, loc, bc.Name, i)
 	}
-	// ReadAt filled our scratch; an mmap source returned a view into
-	// the mapping and left scratch untouched.
-	fromPool := err == nil && len(data) > 0 && &data[0] == &scratch[0]
-	if !fromPool {
-		putPayloadBuf(scratch)
+	if err == nil {
+		f, err = decodeBlockBody(data, bc.Name, i, bc.Col.Blocks[i].Count)
 	}
-	if err != nil {
-		data = nil
+	if err == nil && cf.cache != nil {
+		cf.cache.add(key, f)
 	}
-	cached := false
-	if err == nil && cf.cache != nil && cf.cache.add(key, data) {
-		// Ownership moved to the cache for good: cached slices are
-		// handed to concurrent readers, so the buffer is never pooled
-		// again (mmap views just keep aliasing the mapping).
-		cached = true
-	}
-	cf.flightMu.Lock()
-	fl.data, fl.err = data, err
-	shared := fl.shared
-	delete(cf.flights, key)
-	cf.flightMu.Unlock()
-	close(fl.done)
-	return data, fromPool && !cached && !shared, err
+	return f, err
 }
 
 // prefetchAsync asks the container's background worker to stage block
@@ -525,12 +515,7 @@ func (cf *ContainerFile) prefetchLoop(ch chan prefetchReq) {
 		if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: req.col, block: req.block}); ok {
 			continue
 		}
-		data, owned, err := cf.fetchPayload(req.col, req.block)
-		if err == nil && owned {
-			// The cache declined the buffer (raced duplicate, or the
-			// payload outweighs the budget); recycle it.
-			putPayloadBuf(data)
-		}
+		cf.fetchForm(req.col, req.block)
 	}
 }
 
@@ -556,41 +541,25 @@ func (r *colReader) Payload(i int, scratch []byte) ([]byte, error) {
 	return r.cf.src.view(r.cf.payloadStart+loc.off, n, scratch[:n])
 }
 
-// BlockForm implements blocked.BlockSource: fetch block i's payload
-// (from the cache when hot, through the coalesced fetch path when
-// cold — its CRC is verified there, on first touch) and decode it.
-// The decoded form does not alias the payload buffer, so ReadAt
-// scratch recycles through the pool.
+// BlockForm implements blocked.BlockSource: a cache hit returns the
+// shared decoded form without allocating; a miss goes through the
+// coalesced fetch path, which verifies and decodes the payload on
+// first touch. Callers must not mutate the form.
 func (r *colReader) BlockForm(i int) (*core.Form, error) {
 	cf := r.cf
-	name := cf.cols[r.colIdx].Name
-	count := cf.cols[r.colIdx].Col.Blocks[i].Count
-
 	if cf.cache != nil {
-		data, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i})
-		if ok {
+		if f, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i}); ok {
 			cf.localHits.Add(1)
-			// Cached bytes were verified when inserted.
-			return decodeBlockBody(data, name, i, count)
+			return f, nil
 		}
 		cf.localMisses.Add(1)
 	}
-
-	data, owned, err := cf.fetchPayload(r.colIdx, i)
-	if err != nil {
-		return nil, err
-	}
-	f, err := decodeBlockBody(data, name, i, count)
-	if owned {
-		putPayloadBuf(data)
-	}
-	return f, err
+	return cf.fetchForm(r.colIdx, i)
 }
 
 // PrefetchBlock implements blocked.BlockPrefetcher: it hints that
-// block i's payload will be needed soon, staging it into the block
-// cache in the background so the demand fetch hits warm, verified
-// bytes. Best-effort — no cache, a resident block, a full queue, or
+// block i will be needed soon, staging its decoded form into the
+// block cache in the background so the demand fetch hits. Best-effort — no cache, a resident block, a full queue, or
 // an expired ctx all drop the hint.
 func (r *colReader) PrefetchBlock(ctx context.Context, i int) {
 	r.cf.prefetchAsync(ctx, r.colIdx, i)
@@ -600,12 +569,10 @@ func (r *colReader) PrefetchBlock(ctx context.Context, i int) {
 // container share one lifetime.
 func (r *colReader) Close() error { return r.cf.Close() }
 
-// CacheStats implements blocked.CacheStatsSource: it snapshots the
-// container's shared block cache, so a column handle can report cache
-// traffic without holding the ContainerFile. All columns of one
-// container share one cache; per-column fetches land in the same
-// counters.
-func (r *colReader) CacheStats() blocked.CacheStats { return r.cf.cache.stats() }
+// CacheStats implements blocked.CacheStatsSource with the container's
+// CacheStats, so a column handle reports its container's own hits and
+// misses even when the cache is shared with other containers.
+func (r *colReader) CacheStats() blocked.CacheStats { return r.cf.CacheStats() }
 
 // MemBlockReader is the in-memory BlockReader: a column's encoded
 // payloads held as byte slices. It mirrors the file-backed reader for

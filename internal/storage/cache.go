@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
 )
 
 // DefaultBlockCacheBytes is the block-cache budget used when a
@@ -13,11 +14,9 @@ import (
 const DefaultBlockCacheBytes = 32 << 20
 
 // payloadPool recycles the scratch buffers non-mmap block fetches
-// read payloads into. A fetch that inserts its buffer into the block
-// cache hands ownership over permanently: the cache returns cached
-// slices to concurrent readers outside its lock, so an evicted
-// buffer may still be mid-decode elsewhere and must be left to the
-// garbage collector, never recycled.
+// read payloads into. A decoded form never aliases the bytes it was
+// decoded from, so every buffer goes back to the pool once its block
+// is verified and decoded.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getPayloadBuf returns a pooled buffer of length n.
@@ -42,18 +41,18 @@ type cacheKey struct {
 	col, block int
 }
 
-// cacheEntry is one cached raw block payload. The cache owns data
-// exclusively among writers — nothing mutates it after insertion —
-// so get can hand it to readers outside the lock; eviction merely
-// drops the reference (see payloadPool).
+// cacheEntry is one cached decoded block form and the bytes it is
+// charged. Nothing mutates a form after insertion, so get hands it to
+// readers outside the lock and eviction merely drops the reference.
 type cacheEntry struct {
 	key  cacheKey
-	data []byte
+	form *core.Form
+	size int64
 }
 
-// blockCache is a byte-budgeted LRU over raw (CRC-verified) block
-// payloads, shared by every query on a container. It is safe for
-// concurrent use.
+// blockCache is a byte-budgeted LRU over decoded block forms whose
+// payloads passed every integrity check, shared by every query on a
+// container. It is safe for concurrent use.
 type blockCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -73,9 +72,9 @@ func newBlockCache(budget int64) *blockCache {
 	return &blockCache{budget: budget, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// get returns the cached payload for key, promoting it to most
-// recently used.
-func (c *blockCache) get(key cacheKey) ([]byte, bool) {
+// get returns the cached form for key, promoting it to most recently
+// used and counting the lookup as a hit or a miss.
+func (c *blockCache) get(key cacheKey) (*core.Form, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
@@ -85,14 +84,14 @@ func (c *blockCache) get(key cacheKey) ([]byte, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEntry).data, true
+	return e.Value.(*cacheEntry).form, true
 }
 
-// peek returns the cached payload for key without promoting it or
+// peek returns the cached form for key without promoting it or
 // touching the hit/miss counters — the presence probe the prefetcher
 // uses to skip warm blocks and the fetch coalescer uses for its
 // last-moment recheck. Nil-safe, like stats.
-func (c *blockCache) peek(key cacheKey) ([]byte, bool) {
+func (c *blockCache) peek(key cacheKey) (*core.Form, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -102,49 +101,33 @@ func (c *blockCache) peek(key cacheKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.Value.(*cacheEntry).data, true
+	return e.Value.(*cacheEntry).form, true
 }
 
-// add inserts a verified payload, evicting least-recently-used
-// entries until the budget holds. It reports whether the cache took
-// ownership of data: a false return (entry too large, or the key
-// raced in from another goroutine) leaves the buffer with the caller.
-// A true return transfers data to the cache for good — it may be
-// handed to concurrent readers at any later point, so the caller
-// must not reuse or pool it.
-func (c *blockCache) add(key cacheKey, data []byte) bool {
-	size := int64(len(data))
+// add inserts a verified form charged at its decoded footprint,
+// evicting least-recently-used entries until the budget holds. A form
+// larger than the whole budget, or a key already resident, is not
+// inserted.
+func (c *blockCache) add(key cacheKey, f *core.Form) {
+	size := f.ResidentBytes()
 	if size > c.budget {
-		return false
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.m[key]; dup {
-		return false
-	}
-	for c.used+size > c.budget {
-		c.evictOldestLocked()
-	}
-	e := c.ll.PushFront(&cacheEntry{key: key, data: data})
-	c.m[key] = e
-	c.used += size
-	return true
-}
-
-// evictOldestLocked drops the least-recently-used entry. Callers hold
-// c.mu and have ensured the cache is non-empty. The entry's buffer is
-// only dereferenced, never recycled: a reader that got it from get
-// may still be decoding it.
-func (c *blockCache) evictOldestLocked() {
-	e := c.ll.Back()
-	if e == nil {
 		return
 	}
-	ent := e.Value.(*cacheEntry)
-	c.ll.Remove(e)
-	delete(c.m, ent.key)
-	c.used -= int64(len(ent.data))
-	c.evictions++
+	for c.used+size > c.budget {
+		e := c.ll.Back()
+		ent := e.Value.(*cacheEntry)
+		c.ll.Remove(e)
+		delete(c.m, ent.key)
+		c.used -= ent.size
+		c.evictions++
+	}
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, form: f, size: size})
+	c.used += size
 }
 
 // CacheStats reports a container's block-cache traffic. Zero values
@@ -159,7 +142,7 @@ var nextCacheOwner atomic.Uint64
 
 // SharedCache is a block cache several containers share under one
 // byte budget — the server's resource-governance primitive: however
-// many tables a process mounts, their verified block payloads compete
+// many tables a process mounts, their decoded block forms compete
 // for one LRU budget instead of each container holding its own.
 // Containers join it through OpenOptions.Shared (the public
 // WithSharedBlockCache option); each opener gets a unique key space,

@@ -291,10 +291,10 @@ func TestBlockReaderPayloads(t *testing.T) {
 
 // TestConcurrentQueriesUnderCachePressure hammers a lazily opened
 // container from many goroutines with a cache small enough to evict
-// constantly. This pins the ownership contract the cache relies on:
-// an evicted payload buffer may still be mid-decode in a concurrent
-// reader, so it must never be recycled into the fetch pool (caught
-// by -race, and by corrupt decodes, if violated).
+// constantly: an evicted form may still be in use by a concurrent
+// reader, and every fetch's scratch buffer goes back to the pool, so
+// a form that aliased its buffer would show up here as a race (under
+// -race) or a wrong sum.
 func TestConcurrentQueriesUnderCachePressure(t *testing.T) {
 	src := make([]int64, 1<<13)
 	state := uint64(7)

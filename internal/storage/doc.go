@@ -26,11 +26,11 @@
 // The lazy path is built from three pieces: a byte source (plain
 // io.ReaderAt with pooled scratch buffers, or an mmap window when
 // requested and available), the BlockReader seam that hands out raw
-// per-block payloads, and a byte-budgeted LRU cache of verified
-// payloads shared by all queries on a ContainerFile. Cache insertion
-// takes buffer ownership permanently — cached slices travel to
-// concurrent readers, so evicted buffers are left to the garbage
-// collector rather than recycled. DESIGN.md §1.8
+// per-block payloads, and a byte-budgeted LRU cache of decoded block
+// forms shared by all queries on a ContainerFile. A miss reads the
+// payload, checks its CRC, decodes it once and caches the form,
+// charged at its decoded footprint; a hit hands the same read-only
+// form to every caller without copying or allocating. DESIGN.md §1.8
 // states the invariants; the short version: the index alone decides
 // truncation at open time, payload corruption surfaces as ErrChecksum
 // at first touch of the affected block only, and a block is never
